@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race short bench bench-alloc chaos tcp-smoke trace-smoke race-smoke kv-smoke metrics-smoke experiments examples fmt vet clean
+.PHONY: all build test race short bench bench-alloc perf perf-test chaos tcp-smoke trace-smoke race-smoke kv-smoke metrics-smoke experiments examples fmt vet clean
 
 all: build test
 
@@ -12,9 +12,9 @@ build:
 # Default test gate: vet, the full suite, the chaos/reliability and
 # transport packages again under the race detector (their concurrency
 # is the newest and the most delicate), the allocation-regression
-# gate, the multi-process TCP smoke run, the tracing smoke run, and
-# the race-checker smoke run.
-test: vet tcp-smoke trace-smoke race-smoke kv-smoke metrics-smoke bench-alloc
+# gate, the multi-process TCP smoke run, the tracing smoke run,
+# the race-checker smoke run, and the repository benchmark's own tests.
+test: vet tcp-smoke trace-smoke race-smoke kv-smoke metrics-smoke bench-alloc perf-test
 	$(GO) test ./... -timeout 1200s
 	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace
 
@@ -23,12 +23,36 @@ test: vet tcp-smoke trace-smoke race-smoke kv-smoke metrics-smoke bench-alloc
 # state for the pooled encode/frame/diff paths (testing.AllocsPerRun
 # with GC parked) and for the tracing layer both disabled (nil tracer,
 # nil histograms — the default hot path) and enabled (ring emit,
-# histogram observe). The benchmarks print current numbers for the
-# paths that clone by design (receive-side decode).
+# histogram observe), and for the software-MMU hit: every typed
+# accessor and ReadAt/WriteAt on a resident page under sc-fixed and
+# lrc. The benchmarks print current numbers, including the paths that
+# clone by design (receive-side decode).
 bench-alloc:
-	$(GO) test -run ZeroAlloc -count=1 ./internal/wire/ ./internal/mem/ ./internal/trace/ ./internal/kv/ ./internal/metrics/
-	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|ApplyDiff|FrameRoundTrip|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite' \
-		-benchtime 1000x -benchmem -timeout 300s ./internal/wire/ ./internal/mem/ ./internal/transport/tcp/ ./internal/trace/ ./internal/kv/ ./internal/metrics/
+	$(GO) test -run ZeroAlloc -count=1 ./internal/wire/ ./internal/mem/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/core/
+	$(GO) test -run '^$$' -bench 'Encode|DecodeInto|PackBatch|AppendDiff|ApplyDiff|FrameRoundTrip|EmitDisabled|EmitEnabled|AccessEmit|HistObserve|KVOpRecord|SampleOnce|PromWrite|HitRead|HitWrite' \
+		-benchtime 1000x -benchmem -timeout 300s ./internal/wire/ ./internal/mem/ ./internal/transport/tcp/ ./internal/trace/ ./internal/kv/ ./internal/metrics/ ./internal/core/
+
+# Repository benchmark (BENCHMARK.json, perfbench/): builds the
+# benchmark from source and runs one workload, printing every
+# end-to-end metric (TRACE=0) or the per-layer ones (TRACE=1).
+#   make perf W=kv-write SEED=2 SECONDS=20 TRACE=1
+W ?= sor-lrc
+SEED ?= 1
+SECONDS ?= 10
+TRACE ?= 0
+
+perf:
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
+
+# The benchmark's own tests (metric names, tiny runs of every
+# workload, checksum checks), in the Go environment perfbench/run.sh
+# builds with, so the build cache stays under .bench_build/.
+BENCH_OUT = $(CURDIR)/.bench_build
+perf-test:
+	mkdir -p $(BENCH_OUT)/tmp $(BENCH_OUT)/config
+	cd perfbench && GOCACHE=$(BENCH_OUT)/gocache GOPATH=$(BENCH_OUT)/gopath GOTMPDIR=$(BENCH_OUT)/tmp \
+		XDG_CONFIG_HOME=$(BENCH_OUT)/config GOFLAGS= GOPROXY=off GOTOOLCHAIN=local GOWORK=off GOTELEMETRY=off \
+		$(GO) test -count=1 -timeout 600s .
 
 short:
 	$(GO) test ./... -short -timeout 600s

@@ -1145,7 +1145,14 @@ func E16Metrics(w io.Writer) error {
 		if sum, err = store.Checksum(c.Node(0)); err != nil {
 			return 0, nil, stats.Snapshot{}, err
 		}
-		smp.Stop() // nil-safe; final sample at the quiesced counters
+		// One-way messages of the last operations (lock releases) may
+		// still be queued in the simulated network, so the counters are
+		// not final yet. Closing the cluster waits until every delivery
+		// queue, dispatch loop and handler has exited; after that no
+		// counter moves, and the sampler's final sample (nil-safe) and
+		// the reported totals are read at the same quiesced instant.
+		c.Close()
+		smp.Stop()
 		return sum, smp, c.TotalStats(), nil
 	}
 

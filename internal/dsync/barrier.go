@@ -130,6 +130,17 @@ func (s *Service) handleBarArrive(m *wire.Msg) {
 			merged = reply.Data
 		}
 	}
+	// Release this node's own waiter last. Its Barrier then returns
+	// only after every peer's release has been sent, so a node that
+	// leaves right after a barrier (shutdown, a final counter read)
+	// has no release still to send.
+	for i, w := range waiters {
+		if w.from == s.rt.ID() {
+			last := len(waiters) - 1
+			waiters[i], waiters[last] = waiters[last], waiters[i]
+			break
+		}
+	}
 	rf, _ := s.hooks.(ReleaseFilter)
 	for _, w := range waiters {
 		data := merged

@@ -65,26 +65,31 @@ type Chunk struct {
 	Len  int
 }
 
-// Split decomposes the range [addr, addr+n) into per-page chunks.
-func (t *Table) Split(addr int64, n int) []Chunk {
+// Chunk returns the first chunk of the range [addr, addr+n): its
+// intersection with addr's page. It panics if the range leaves the
+// heap. A chunk whose Len equals n covers the whole range; otherwise
+// Next yields the rest. Together they walk a range page by page
+// without allocating:
+//
+//	for c := t.Chunk(addr, n); c.Len > 0; c = t.Next(c, n) { ... }
+func (t *Table) Chunk(addr int64, n int) Chunk {
 	if n < 0 {
-		panic(fmt.Sprintf("mem: Split: negative length %d", n))
+		panic(fmt.Sprintf("mem: Chunk: negative length %d", n))
 	}
 	if addr < 0 || addr+int64(n) > t.heap {
 		panic(fmt.Sprintf("mem: range [%#x,%#x) outside heap [0,%#x)", addr, addr+int64(n), t.heap))
 	}
-	var chunks []Chunk
-	pos := 0
-	for n > 0 {
-		page, off := t.PageOf(addr)
-		l := t.pageSize - off
-		if l > n {
-			l = n
-		}
-		chunks = append(chunks, Chunk{Page: page, Off: off, Pos: pos, Len: l})
-		addr += int64(l)
-		pos += l
-		n -= l
+	off := int(addr & int64(t.pageSize-1))
+	return Chunk{Page: PageID(addr / int64(t.pageSize)), Off: off, Len: min(t.pageSize-off, n)}
+}
+
+// Next returns the chunk after c in the walk of an n-byte range, or a
+// zero-length chunk once c ends the range. Every chunk after the
+// first starts at offset 0 of the next page.
+func (t *Table) Next(c Chunk, n int) Chunk {
+	pos := c.Pos + c.Len
+	if pos >= n {
+		return Chunk{}
 	}
-	return chunks
+	return Chunk{Page: c.Page + 1, Pos: pos, Len: min(t.pageSize, n-pos)}
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -62,9 +63,22 @@ func TestPageOfOutOfRangePanics(t *testing.T) {
 	tbl.PageOf(1024)
 }
 
+// walk collects the chunks of [addr, addr+n) as the Chunk/Next loop
+// yields them.
+func walk(tbl *Table, addr int64, n int) []Chunk {
+	var out []Chunk
+	for c := tbl.Chunk(addr, n); c.Len > 0; c = tbl.Next(c, n) {
+		out = append(out, c)
+	}
+	return out
+}
+
 func TestSplitSinglePage(t *testing.T) {
 	tbl, _ := NewTable(1024, 256)
-	chunks := tbl.Split(10, 20)
+	if c := tbl.Chunk(10, 20); c.Len != 20 {
+		t.Fatalf("Chunk(10, 20) = %+v, want the whole range", c)
+	}
+	chunks := walk(tbl, 10, 20)
 	if len(chunks) != 1 {
 		t.Fatalf("chunks = %v", chunks)
 	}
@@ -75,7 +89,7 @@ func TestSplitSinglePage(t *testing.T) {
 
 func TestSplitSpansPages(t *testing.T) {
 	tbl, _ := NewTable(1024, 256)
-	chunks := tbl.Split(250, 300)
+	chunks := walk(tbl, 250, 300)
 	want := []Chunk{
 		{Page: 0, Off: 250, Pos: 0, Len: 6},
 		{Page: 1, Off: 0, Pos: 6, Len: 256},
@@ -91,8 +105,8 @@ func TestSplitSpansPages(t *testing.T) {
 	}
 }
 
-// TestSplitCoversQuick: chunks tile the range exactly, in order,
-// without gaps or overlaps.
+// TestSplitCoversQuick: the chunk walk tiles the range exactly, in
+// order, without gaps or overlaps.
 func TestSplitCoversQuick(t *testing.T) {
 	tbl, _ := NewTable(1<<16, 512)
 	f := func(a uint16, l uint16) bool {
@@ -103,7 +117,7 @@ func TestSplitCoversQuick(t *testing.T) {
 		}
 		pos := 0
 		cur := addr
-		for _, c := range tbl.Split(addr, n) {
+		for _, c := range walk(tbl, addr, n) {
 			if c.Pos != pos || c.Len <= 0 {
 				return false
 			}
@@ -118,6 +132,40 @@ func TestSplitCoversQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChunkOutsideHeapPanics: a range that leaves the heap panics
+// with its bounds, even when its first byte is inside.
+func TestChunkOutsideHeapPanics(t *testing.T) {
+	tbl, _ := NewTable(1024, 256)
+	for _, r := range [][2]int64{{-8, 8}, {1020, 8}, {1024, 1}} {
+		want := fmt.Sprintf("mem: range [%#x,%#x) outside heap [0,0x400)", r[0], r[0]+r[1])
+		func() {
+			defer func() {
+				if got := recover(); got != want {
+					t.Errorf("Chunk(%d, %d): panic %v, want %q", r[0], r[1], got, want)
+				}
+			}()
+			tbl.Chunk(r[0], int(r[1]))
+		}()
+	}
+}
+
+// TestZeroAllocChunkWalk: walking a range that spans pages allocates
+// nothing.
+func TestZeroAllocChunkWalk(t *testing.T) {
+	tbl, _ := NewTable(1<<16, 512)
+	total := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		for c := tbl.Chunk(500, 2000); c.Len > 0; c = tbl.Next(c, 2000) {
+			total += c.Len
+		}
+	}); n != 0 {
+		t.Fatalf("chunk walk allocates %.1f/op, want 0", n)
+	}
+	if total != 1001*2000 {
+		t.Fatalf("walk covered %d bytes over 1001 runs, want %d", total, 1001*2000)
 	}
 }
 

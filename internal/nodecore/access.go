@@ -15,54 +15,124 @@ import (
 // buf, faulting pages in as needed. It is the software equivalent of
 // a load instruction sequence on hardware DSM.
 func (r *Runtime) ReadAt(addr int64, buf []byte) error {
-	r.st.Reads.Add(1)
-	if len(buf) == 0 {
+	if r.direct != nil {
+		return r.directAccess(addr, buf, false)
+	}
+	return r.access(addr, buf, false)
+}
+
+// WriteAt copies buf into shared memory starting at addr, faulting
+// pages to writable state as needed.
+func (r *Runtime) WriteAt(addr int64, buf []byte) error {
+	if r.direct != nil {
+		return r.directAccess(addr, buf, true)
+	}
+	return r.access(addr, buf, true)
+}
+
+// access is ReadAt/WriteAt for an engine without DirectEngine. buf
+// reaches no interface call, so a caller's stack buffer stays on the
+// stack, and a hit on a resident page allocates nothing.
+func (r *Runtime) access(addr int64, buf []byte, write bool) error {
+	c := r.begin(addr, len(buf), write)
+	if c.Len > 0 && c.Len == len(buf) {
+		// The whole range lies in one page: the common hit.
+		return r.chunk(c, buf, write)
+	}
+	return r.walk(c, buf, write)
+}
+
+// directAccess is ReadAt/WriteAt for a DirectEngine, which may serve
+// the access itself before the paged path is tried.
+func (r *Runtime) directAccess(addr int64, buf []byte, write bool) error {
+	c := r.begin(addr, len(buf), write)
+	if c.Len == 0 {
 		return nil
 	}
+	var handled bool
+	var err error
+	if write {
+		handled, err = r.direct.DirectWrite(addr, buf)
+	} else {
+		handled, err = r.direct.DirectRead(addr, buf)
+	}
+	if handled {
+		return err
+	}
+	return r.walk(c, buf, write)
+}
+
+// begin counts one access of n bytes at addr, checks its range, and
+// reports each page it touches to the collector. It returns the
+// range's first chunk, which is empty when n is 0.
+func (r *Runtime) begin(addr int64, n int, write bool) mem.Chunk {
+	if write {
+		r.st.Writes.Add(1)
+	} else {
+		r.st.Reads.Add(1)
+	}
+	if n == 0 {
+		return mem.Chunk{}
+	}
+	c := r.tbl.Chunk(addr, n)
 	if r.collector != nil {
-		for _, c := range r.tbl.Split(addr, len(buf)) {
-			r.collector.Observe(int(r.id), c.Page, false)
+		for o := c; o.Len > 0; o = r.tbl.Next(o, n) {
+			r.collector.Observe(int(r.id), o.Page, write)
 		}
 	}
-	if r.direct != nil {
-		if handled, err := r.direct.DirectRead(addr, buf); handled {
-			return err
-		}
-	}
-	for _, c := range r.tbl.Split(addr, len(buf)) {
-		if err := r.readChunk(c, buf); err != nil {
+	return c
+}
+
+// walk performs the access chunk by chunk, from first to the end of
+// buf.
+func (r *Runtime) walk(first mem.Chunk, buf []byte, write bool) error {
+	for c := first; c.Len > 0; c = r.tbl.Next(c, len(buf)) {
+		if err := r.chunk(c, buf, write); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (r *Runtime) readChunk(c mem.Chunk, buf []byte) error {
+// chunk performs one chunk of an access under its page's lock, first
+// faulting until the page's protection allows the access.
+func (r *Runtime) chunk(c mem.Chunk, buf []byte, write bool) error {
+	need, faults, ev := mem.ReadOnly, &r.st.ReadFaults, trace.EvRead
+	if write {
+		need, faults, ev = mem.ReadWrite, &r.st.WriteFaults, trace.EvWrite
+	}
 	p := r.tbl.Page(c.Page)
 	p.Lock()
 	defer p.Unlock()
-	for p.Prot() < mem.ReadOnly {
+	for p.Prot() < need {
 		if p.LatchBusy() {
 			p.LatchWait()
 			continue
 		}
 		p.LatchAcquire()
 		p.Unlock()
-		r.st.ReadFaults.Add(1)
-		err := r.servedFault(c.Page, false)
+		faults.Add(1)
+		err := r.servedFault(c.Page, write)
 		p.Lock()
 		p.LatchRelease()
 		if err != nil {
+			if write {
+				return fmt.Errorf("node %d: write fault page %d: %w", r.id, c.Page, err)
+			}
 			return fmt.Errorf("node %d: read fault page %d: %w", r.id, c.Page, err)
 		}
 	}
-	p.ReadInto(buf[c.Pos:c.Pos+c.Len], c.Off)
+	b := buf[c.Pos : c.Pos+c.Len]
+	if write {
+		p.WriteFrom(b, c.Off)
+	} else {
+		p.ReadInto(b, c.Off)
+	}
 	if r.atrace != nil {
-		// Still under the page lock, so the hash is of the bytes this
-		// read actually returned and the emission is ordered with any
-		// concurrent local write to the same page.
-		b := buf[c.Pos : c.Pos+c.Len]
-		r.atrace.Emit(trace.EvRead, -1, trace.HashBytes(b), c.Page, -1, trace.AccessArg(c.Off, c.Len), 0)
+		// Still under the page lock, so a read's hash is of the bytes
+		// it actually returned and the emission is ordered with any
+		// concurrent local access to the same page.
+		r.atrace.Emit(ev, -1, trace.HashBytes(b), c.Page, -1, trace.AccessArg(c.Off, c.Len), 0)
 	}
 	return nil
 }
@@ -98,65 +168,26 @@ func (r *Runtime) servedFault(page mem.PageID, write bool) error {
 	return err
 }
 
-// WriteAt copies buf into shared memory starting at addr, faulting
-// pages to writable state as needed.
-func (r *Runtime) WriteAt(addr int64, buf []byte) error {
-	r.st.Writes.Add(1)
-	if len(buf) == 0 {
-		return nil
-	}
-	if r.collector != nil {
-		for _, c := range r.tbl.Split(addr, len(buf)) {
-			r.collector.Observe(int(r.id), c.Page, true)
-		}
-	}
-	if r.direct != nil {
-		if handled, err := r.direct.DirectWrite(addr, buf); handled {
-			return err
-		}
-	}
-	for _, c := range r.tbl.Split(addr, len(buf)) {
-		if err := r.writeChunk(c, buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *Runtime) writeChunk(c mem.Chunk, buf []byte) error {
-	p := r.tbl.Page(c.Page)
-	p.Lock()
-	defer p.Unlock()
-	for p.Prot() < mem.ReadWrite {
-		if p.LatchBusy() {
-			p.LatchWait()
-			continue
-		}
-		p.LatchAcquire()
-		p.Unlock()
-		r.st.WriteFaults.Add(1)
-		err := r.servedFault(c.Page, true)
-		p.Lock()
-		p.LatchRelease()
-		if err != nil {
-			return fmt.Errorf("node %d: write fault page %d: %w", r.id, c.Page, err)
-		}
-	}
-	p.WriteFrom(buf[c.Pos:c.Pos+c.Len], c.Off)
-	if r.atrace != nil {
-		b := buf[c.Pos : c.Pos+c.Len]
-		r.atrace.Emit(trace.EvWrite, -1, trace.HashBytes(b), c.Page, -1, trace.AccessArg(c.Off, c.Len), 0)
-	}
-	return nil
-}
-
 // Typed accessors. Values are stored little-endian. An aligned value
 // never spans pages because page sizes are powers of two >= 8.
+
+// typedAccess performs a typed accessor's access on its stack buffer b.
+// Without a DirectEngine that is the plain access path, so b stays on
+// the caller's stack; a DirectEngine is handed a heap copy instead.
+func (r *Runtime) typedAccess(addr int64, b []byte, write bool) error {
+	if r.direct == nil {
+		return r.access(addr, b, write)
+	}
+	h := append([]byte(nil), b...)
+	err := r.directAccess(addr, h, write)
+	copy(b, h)
+	return err
+}
 
 // ReadUint64 loads the 8-byte value at addr.
 func (r *Runtime) ReadUint64(addr int64) (uint64, error) {
 	var b [8]byte
-	if err := r.ReadAt(addr, b[:]); err != nil {
+	if err := r.typedAccess(addr, b[:], false); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
@@ -166,7 +197,7 @@ func (r *Runtime) ReadUint64(addr int64) (uint64, error) {
 func (r *Runtime) WriteUint64(addr int64, v uint64) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	return r.WriteAt(addr, b[:])
+	return r.typedAccess(addr, b[:], true)
 }
 
 // ReadInt64 loads a signed 8-byte value.
@@ -194,7 +225,7 @@ func (r *Runtime) WriteFloat64(addr int64, v float64) error {
 // ReadUint32 loads a 4-byte value at addr.
 func (r *Runtime) ReadUint32(addr int64) (uint32, error) {
 	var b [4]byte
-	if err := r.ReadAt(addr, b[:]); err != nil {
+	if err := r.typedAccess(addr, b[:], false); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
@@ -204,7 +235,7 @@ func (r *Runtime) ReadUint32(addr int64) (uint32, error) {
 func (r *Runtime) WriteUint32(addr int64, v uint32) error {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	return r.WriteAt(addr, b[:])
+	return r.typedAccess(addr, b[:], true)
 }
 
 // TxLocks serializes page transactions at the node that manages or

@@ -83,11 +83,12 @@ func (e *Server) WriteFault(pg mem.PageID) error {
 
 // DirectRead implements nodecore.DirectEngine.
 func (e *Server) DirectRead(addr int64, buf []byte) (bool, error) {
-	for _, c := range e.rt.Table().Split(addr, len(buf)) {
+	tbl := e.rt.Table()
+	for c := tbl.Chunk(addr, len(buf)); c.Len > 0; c = tbl.Next(c, len(buf)) {
 		dst := buf[c.Pos : c.Pos+c.Len]
 		srv := e.serverOf(c.Page)
 		if srv == e.rt.ID() {
-			p := e.rt.Table().Page(c.Page)
+			p := tbl.Page(c.Page)
 			p.Lock()
 			p.ReadInto(dst, c.Off)
 			p.Unlock()
@@ -111,11 +112,12 @@ func (e *Server) DirectRead(addr int64, buf []byte) (bool, error) {
 
 // DirectWrite implements nodecore.DirectEngine.
 func (e *Server) DirectWrite(addr int64, buf []byte) (bool, error) {
-	for _, c := range e.rt.Table().Split(addr, len(buf)) {
+	tbl := e.rt.Table()
+	for c := tbl.Chunk(addr, len(buf)); c.Len > 0; c = tbl.Next(c, len(buf)) {
 		src := buf[c.Pos : c.Pos+c.Len]
 		srv := e.serverOf(c.Page)
 		if srv == e.rt.ID() {
-			p := e.rt.Table().Page(c.Page)
+			p := tbl.Page(c.Page)
 			p.Lock()
 			p.WriteFrom(src, c.Off)
 			p.Unlock()
@@ -211,7 +213,8 @@ func (e *Replicated) WriteFault(pg mem.PageID) error {
 // DirectWrite implements nodecore.DirectEngine: route each chunk
 // through its sequencer.
 func (e *Replicated) DirectWrite(addr int64, buf []byte) (bool, error) {
-	for _, c := range e.rt.Table().Split(addr, len(buf)) {
+	tbl := e.rt.Table()
+	for c := tbl.Chunk(addr, len(buf)); c.Len > 0; c = tbl.Next(c, len(buf)) {
 		src := buf[c.Pos : c.Pos+c.Len]
 		e.rt.Stats().DirectWrites.Add(1)
 		_, err := e.rt.Call(&wire.Msg{

@@ -221,8 +221,9 @@ func (e *Engine) OnEventSet(id int32) {
 // readLocal and writeLocal bypass the fault machinery (pages are
 // always read-write under EC) but respect page mutexes.
 func (e *Engine) readLocal(addr int64, buf []byte) {
-	for _, c := range e.rt.Table().Split(addr, len(buf)) {
-		p := e.rt.Table().Page(c.Page)
+	tbl := e.rt.Table()
+	for c := tbl.Chunk(addr, len(buf)); c.Len > 0; c = tbl.Next(c, len(buf)) {
+		p := tbl.Page(c.Page)
 		p.Lock()
 		p.ReadInto(buf[c.Pos:c.Pos+c.Len], c.Off)
 		p.Unlock()
@@ -230,8 +231,9 @@ func (e *Engine) readLocal(addr int64, buf []byte) {
 }
 
 func (e *Engine) writeLocal(addr int64, data []byte) {
-	for _, c := range e.rt.Table().Split(addr, len(data)) {
-		p := e.rt.Table().Page(c.Page)
+	tbl := e.rt.Table()
+	for c := tbl.Chunk(addr, len(data)); c.Len > 0; c = tbl.Next(c, len(data)) {
+		p := tbl.Page(c.Page)
 		p.Lock()
 		p.WriteFrom(data[c.Pos:c.Pos+c.Len], c.Off)
 		p.Unlock()

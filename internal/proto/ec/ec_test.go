@@ -338,6 +338,12 @@ func TestDiffGrantsShipFewerBytes(t *testing.T) {
 		c.Bind(1, region, 8192)
 		err = c.Run(func(n *core.Node) error {
 			for i := 0; i < 10; i++ {
+				// Every node takes the lock once per round, so each
+				// round hands it between nodes at least twice under
+				// either protocol, however the nodes are scheduled.
+				if err := n.Barrier(0); err != nil {
+					return err
+				}
 				if err := n.Acquire(1); err != nil {
 					return err
 				}

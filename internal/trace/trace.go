@@ -13,9 +13,10 @@
 // guard with one nil check and the disabled hot path performs zero
 // allocations and zero atomic traffic (enforced by alloc_test.go).
 // When enabled, Emit is lock-light (one short mutex section for the
-// vector clock, one atomic fetch-add for the slot index) and
-// allocation-free; a full ring overwrites oldest events and counts
-// them as dropped rather than blocking or growing.
+// vector clock, one atomic fetch-add for the slot index, one short
+// mutex section to write the slot) and allocation-free; a full ring
+// overwrites oldest events and counts them as dropped rather than
+// blocking or growing.
 package trace
 
 import (
@@ -250,13 +251,14 @@ type Tracer struct {
 	vc vclock.VC
 }
 
-// slot pairs an event with a commit word: a reader observing
-// commit == index+1 before and after copying the event knows the copy
-// is untorn; any other value means the slot was mid-write or already
-// overwritten by a lap of the ring.
+// slot holds one event and the ring index+1 it was written for. Its
+// mutex makes the copy in and out whole: a reader finding seq ==
+// index+1 holds that event; any other value means the slot is not yet
+// written or already overwritten by a lap of the ring.
 type slot struct {
-	commit atomic.Uint64
-	ev     Event
+	mu  sync.Mutex
+	seq uint64
+	ev  Event
 }
 
 // New builds a tracer for node of an n-node cluster. capacity is the
@@ -294,8 +296,9 @@ func (t *Tracer) Enabled() bool { return t != nil }
 // Emit records one event. Every emission is a local vector-clock tick
 // on the node's component; the stamped clock therefore totally orders
 // this node's own events and carries everything merged in through
-// MergeClock. Nil-safe, allocation-free, and non-blocking: a full
-// ring overwrites its oldest slot.
+// MergeClock. Nil-safe and allocation-free; it never waits on a
+// reader for longer than one slot copy, and a full ring overwrites
+// its oldest slot.
 func (t *Tracer) Emit(typ Type, peer int32, req uint64, page, lock int32, arg uint64, dur time.Duration) {
 	if t == nil {
 		return
@@ -308,7 +311,8 @@ func (t *Tracer) Emit(typ Type, peer int32, req uint64, page, lock int32, arg ui
 	t.mu.Unlock()
 	idx := t.next.Add(1) - 1
 	s := &t.slots[idx&t.mask]
-	s.commit.Store(0) // mark in-progress so concurrent readers skip a torn copy
+	s.mu.Lock()
+	s.seq = idx + 1
 	s.ev = Event{
 		TS:   ts,
 		Dur:  int64(dur),
@@ -321,7 +325,7 @@ func (t *Tracer) Emit(typ Type, peer int32, req uint64, page, lock int32, arg ui
 		Type: typ,
 		VC:   vc,
 	}
-	s.commit.Store(idx + 1)
+	s.mu.Unlock()
 }
 
 // MergeClock folds a protocol-level vector clock (e.g. the clock a
@@ -387,14 +391,12 @@ func (t *Tracer) Events() []Event {
 	out := make([]Event, 0, n-start)
 	for i := start; i < n; i++ {
 		s := &t.slots[i&t.mask]
-		if s.commit.Load() != i+1 {
-			continue
+		s.mu.Lock()
+		ev, ok := s.ev, s.seq == i+1
+		s.mu.Unlock()
+		if ok {
+			out = append(out, ev)
 		}
-		ev := s.ev
-		if s.commit.Load() != i+1 {
-			continue
-		}
-		out = append(out, ev)
 	}
 	return out
 }
