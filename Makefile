@@ -2,28 +2,29 @@
 
 GO ?= go
 
-.PHONY: all build test race short bench bench-alloc perf perf-test chaos tcp-smoke trace-smoke race-smoke kv-smoke metrics-smoke experiments examples fmt vet clean
+.PHONY: all build test race short bench bench-alloc perf perf-test chaos tcp-smoke trace-smoke race-smoke kv-smoke metrics-smoke experiments examples fmt fmt-check vet clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-# Default test gate: vet, the full suite, the chaos/reliability and
-# transport packages again under the race detector (their concurrency
-# is the newest and the most delicate), the allocation-regression
-# gate, the multi-process TCP smoke run, the tracing smoke run,
-# the race-checker smoke run, and the repository benchmark's own tests.
-test: vet tcp-smoke trace-smoke race-smoke kv-smoke metrics-smoke bench-alloc perf-test
+# Default test gate: gofmt and vet, the full suite, the
+# chaos/reliability and transport packages again under the race
+# detector (their concurrency is the newest and the most delicate),
+# the allocation-regression gate, the multi-process TCP smoke run, the
+# tracing smoke run, the race-checker smoke run, and the repository
+# benchmark's own tests.
+test: fmt-check vet tcp-smoke trace-smoke race-smoke kv-smoke metrics-smoke bench-alloc perf-test
 	$(GO) test ./... -timeout 1200s
 	$(GO) test -race -timeout 900s ./internal/chaos ./internal/nodecore ./internal/simnet ./internal/transport/tcp ./internal/cluster ./internal/trace
 
 # Allocation regression gate. The thresholds are checked into the
 # tests themselves: the ZeroAlloc tests assert 0 allocs/op in steady
 # state for the pooled encode/frame/diff paths (testing.AllocsPerRun
-# with GC parked) and for the tracing layer both disabled (nil tracer,
-# nil histograms — the default hot path) and enabled (ring emit,
-# histogram observe), and for the software-MMU hit: every typed
+# with GC parked), for the tracing layer both disabled (nil tracer —
+# the default hot path) and enabled (ring emit), for the always-on
+# histogram observe, and for the software-MMU hit: every typed
 # accessor and ReadAt/WriteAt on a resident page under sc-fixed and
 # lrc. The benchmarks print current numbers, including the paths that
 # clone by design (receive-side decode).
@@ -123,6 +124,11 @@ examples:
 
 fmt:
 	gofmt -w .
+
+# Fails when any tracked .go file is not gofmt-clean.
+fmt-check:
+	@out=$$(git ls-files -z '*.go' | xargs -0 gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

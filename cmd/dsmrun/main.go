@@ -246,7 +246,7 @@ func servingReport(w io.Writer, kvs *kv.Store) {
 type nodeJSON struct {
 	Node       int                      `json:"node"`
 	Counters   map[string]int64         `json:"counters"`
-	Histograms []trace.HistogramSummary `json:"histograms,omitempty"`
+	Histograms []stats.HistogramSummary `json:"histograms,omitempty"`
 }
 
 // reportJSON is the -stats json document.
@@ -270,11 +270,7 @@ func counterMap(s stats.Snapshot) map[string]int64 {
 }
 
 func nodeEntry(id int, s stats.Snapshot) nodeJSON {
-	n := nodeJSON{Node: id, Counters: counterMap(s)}
-	if s.Lat != nil {
-		n.Histograms = trace.HistogramSummaries(*s.Lat)
-	}
-	return n
+	return nodeJSON{Node: id, Counters: counterMap(s), Histograms: stats.HistogramSummaries(*s.Lat)}
 }
 
 func printJSON(w io.Writer, app apps.App, proto core.Protocol, nodes, page int, elapsed time.Duration, verdict string, snaps []stats.Snapshot, firstNode int) error {
@@ -315,17 +311,15 @@ func writeChromeFile(path string, streams []trace.Stream) {
 // the simulated network.
 func runSim(app apps.App, kvs *kv.Store, proto core.Protocol, nodes, page int, latency, perByte time.Duration, advise, chaosOn bool, seed int64, traceFile, statsFmt string, obs obsOpts) {
 	cfg := core.Config{
-		Nodes:     nodes,
-		Protocol:  proto,
-		PageSize:  page,
-		HeapBytes: 1 << 22,
-		Latency:   latency,
-		PerByte:   perByte,
-		Advise:    advise,
-		Seed:      seed,
-		// The serving workload always records op latencies: SLO
-		// quantiles are its whole point; the sampler wants them too.
-		EventTrace: traceFile != "" || kvs != nil || obs.sample,
+		Nodes:      nodes,
+		Protocol:   proto,
+		PageSize:   page,
+		HeapBytes:  1 << 22,
+		Latency:    latency,
+		PerByte:    perByte,
+		Advise:     advise,
+		Seed:       seed,
+		EventTrace: traceFile != "",
 	}
 	var plan chaos.Plan
 	if chaosOn {
@@ -469,7 +463,7 @@ func runTCPNode(app apps.App, kvs *kv.Store, proto core.Protocol, page int, advi
 		HeapBytes:       1 << 22,
 		Advise:          advise,
 		Seed:            seed,
-		EventTrace:      traceFile != "" || debugAddr != "" || kvs != nil || obs.sample,
+		EventTrace:      traceFile != "" || debugAddr != "",
 		WatchdogTimeout: 30 * time.Second,
 	}
 	start := time.Now()

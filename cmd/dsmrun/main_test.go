@@ -13,13 +13,13 @@ import (
 )
 
 // TestStatsJSONShape pins the -stats json document: counters per
-// node plus, when event tracing is on, the latency histogram classes
-// with interpolated SLO quantiles (p50/p99/p999). Dashboards parse
+// node plus the latency histogram classes with the interpolated SLO
+// quantiles (p50/p90/p99/p999) each class has the samples to resolve. Dashboards parse
 // this shape; changing a key is a breaking change and should have to
 // touch this test.
 func TestStatsJSONShape(t *testing.T) {
 	s := kv.New(kv.Params{Keys: 64, Ops: 120, Dist: loadgen.Zipfian, Theta: 0.9, Mix: loadgen.Mixed, Seed: 7})
-	cfg := core.Config{Nodes: 2, Protocol: core.LRC, PageSize: 512, EventTrace: true}
+	cfg := core.Config{Nodes: 2, Protocol: core.LRC, PageSize: 512}
 	c, err := core.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestStatsJSONShape(t *testing.T) {
 		}
 		hists, ok := node["histograms"].([]any)
 		if !ok || len(hists) == 0 {
-			t.Fatalf("%s carries no histograms under EventTrace", label)
+			t.Fatalf("%s carries no histograms", label)
 		}
 		foundOp := false
 		for _, h := range hists {
@@ -73,9 +73,17 @@ func TestStatsJSONShape(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s histogram entry is not an object", label)
 			}
-			for _, key := range []string{"class", "count", "mean_us", "p50_us", "p90_us", "p99_us", "p999_us", "max_us"} {
+			for _, key := range []string{"class", "count", "mean_us", "max_us"} {
 				if _, ok := hm[key]; !ok {
 					t.Fatalf("%s histogram missing key %q:\n%s", label, key, buf.String())
+				}
+			}
+			// A quantile key is present exactly when the class holds
+			// the 10/(1-q) samples that resolve it.
+			count, _ := hm["count"].(float64)
+			for key, need := range map[string]float64{"p50_us": 20, "p90_us": 100, "p99_us": 1000, "p999_us": 10000} {
+				if _, ok := hm[key]; ok != (count >= need) {
+					t.Fatalf("%s %v histogram: %q present=%v with count %v:\n%s", label, hm["class"], key, ok, count, buf.String())
 				}
 			}
 			if hm["class"] != "op" {
@@ -83,13 +91,13 @@ func TestStatsJSONShape(t *testing.T) {
 			}
 			foundOp = true
 			p50, _ := hm["p50_us"].(float64)
-			p99, _ := hm["p99_us"].(float64)
-			p999, _ := hm["p999_us"].(float64)
-			if p50 <= 0 || p99 <= 0 || p999 <= 0 {
-				t.Fatalf("%s op quantiles not populated: p50=%v p99=%v p999=%v", label, p50, p99, p999)
+			p90, _ := hm["p90_us"].(float64)
+			maxUs, _ := hm["max_us"].(float64)
+			if p50 <= 0 || p90 <= 0 {
+				t.Fatalf("%s op quantiles not populated: p50=%v p90=%v", label, p50, p90)
 			}
-			if p50 > p99 || p99 > p999 {
-				t.Fatalf("%s op quantiles not monotone: p50=%v p99=%v p999=%v", label, p50, p99, p999)
+			if p50 > p90 || p90 > maxUs {
+				t.Fatalf("%s op quantiles not monotone: p50=%v p90=%v max=%v", label, p50, p90, maxUs)
 			}
 		}
 		if !foundOp {

@@ -21,19 +21,17 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/stats"
-	"repro/internal/wire"
+	"repro/internal/trace"
 )
 
 type shell struct {
 	c       *core.Cluster
-	tracing atomic.Bool
-	mu      sync.Mutex
+	tracing bool
+	mark    int64 // newest trace timestamp already accounted for
 	out     *os.File
 }
 
@@ -56,17 +54,11 @@ func main() {
 	}
 	sh := &shell{out: os.Stdout}
 	cluster, err := core.NewCluster(core.Config{
-		Nodes:     *nodes,
-		Protocol:  proto,
-		PageSize:  *page,
-		HeapBytes: 1 << 20,
-		Trace: func(m *wire.Msg) {
-			if sh.tracing.Load() {
-				sh.mu.Lock()
-				fmt.Fprintf(sh.out, "  ~ %s\n", m)
-				sh.mu.Unlock()
-			}
-		},
+		Nodes:      *nodes,
+		Protocol:   proto,
+		PageSize:   *page,
+		HeapBytes:  1 << 20,
+		EventTrace: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -117,7 +109,37 @@ func parseAddr(arg string) (int64, error) {
 	return v, nil
 }
 
+// exec runs one command, then prints the messages it caused when
+// tracing is on.
 func (sh *shell) exec(line string) error {
+	err := sh.run(line)
+	sh.traceMessages()
+	return err
+}
+
+// traceMessages prints, when tracing is on, the send and receive
+// events the nodes recorded since the previous command, as one merged
+// timeline. It advances the mark either way, so turning tracing on
+// does not replay history.
+func (sh *shell) traceMessages() {
+	var fresh []trace.MergedEvent
+	mark := sh.mark
+	for _, e := range trace.Merge(sh.c.TraceStreams()) {
+		if e.AbsTS <= sh.mark {
+			continue
+		}
+		mark = max(mark, e.AbsTS)
+		if e.Type == trace.EvSend || e.Type == trace.EvRecv {
+			fresh = append(fresh, e)
+		}
+	}
+	sh.mark = mark
+	if sh.tracing && len(fresh) > 0 {
+		trace.WriteTimeline(sh.out, fresh)
+	}
+}
+
+func (sh *shell) run(line string) error {
 	if line == "" || strings.HasPrefix(line, "#") {
 		return nil
 	}
@@ -135,7 +157,7 @@ func (sh *shell) exec(line string) error {
   barrier                       all nodes meet at barrier 0
   pages <node>                  page-table protections
   stats                         per-node protocol counters
-  trace on|off                  print protocol messages live
+  trace on|off                  print each command's protocol messages
   quit
 `)
 	case "read":
@@ -238,7 +260,7 @@ func (sh *shell) exec(line string) error {
 		if len(f) != 2 || (f[1] != "on" && f[1] != "off") {
 			return fmt.Errorf("usage: trace on|off")
 		}
-		sh.tracing.Store(f[1] == "on")
+		sh.tracing = f[1] == "on"
 	default:
 		return fmt.Errorf("unknown command %q (try help)", f[0])
 	}

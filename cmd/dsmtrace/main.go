@@ -36,6 +36,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/racecheck"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -292,10 +293,14 @@ func main() {
 	}
 	s := c.TotalStats()
 	fmt.Printf("=== done: %d events, %d messages, %d bytes, %d faults ===\n", len(merged), s.MsgsSent, s.BytesSent, s.Faults())
-	if s.Lat != nil {
-		for _, h := range trace.HistogramSummaries(*s.Lat) {
-			fmt.Printf("    %-12s n=%-4d p50=%.1fus p99=%.1fus max=%.1fus\n", h.Class, h.Count, h.P50Us, h.P99Us, h.MaxUs)
+	us := func(v *float64) string {
+		if v == nil {
+			return "-"
 		}
+		return fmt.Sprintf("%.1fus", *v)
+	}
+	for _, h := range stats.HistogramSummaries(*s.Lat) {
+		fmt.Printf("    %-12s n=%-4d p50=%s p99=%s max=%.1fus\n", h.Class, h.Count, us(h.P50Us), us(h.P99Us), h.MaxUs)
 	}
 }
 

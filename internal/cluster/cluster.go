@@ -66,8 +66,8 @@ type NodeOpts struct {
 	// DebugAddr, if non-empty, serves this node's HTTP debug endpoint
 	// (/stats, /trace, /histograms, /debug/pprof/) on that address for
 	// the run's duration. "127.0.0.1:0" picks a free port; pair with
-	// OnDebug to learn which. Trace and histogram routes carry data
-	// only when Cfg.EventTrace is set.
+	// OnDebug to learn which. The trace route carries data only when
+	// Cfg.EventTrace is set.
 	DebugAddr string
 	// OnDebug, if set, receives the bound debug address once the
 	// endpoint is listening (before the workload starts).
@@ -75,8 +75,7 @@ type NodeOpts struct {
 	// Sample starts the metrics sampler for this node: a time-series
 	// ring over the node's counters, served as /metrics (Prometheus
 	// text format) and /metrics.json (dsmtop) on the debug endpoint
-	// and captured by the flight recorder. Needs Cfg.EventTrace for
-	// latency quantiles; counters sample regardless.
+	// and captured by the flight recorder.
 	Sample bool
 	// SampleInterval overrides the sampling period (default
 	// metrics.DefaultInterval).

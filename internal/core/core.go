@@ -33,7 +33,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/vclock"
-	"repro/internal/wire"
 )
 
 // Protocol selects the coherence/consistency engine.
@@ -140,10 +139,6 @@ type Config struct {
 	// for counting messages rather than measuring time).
 	Latency time.Duration
 	PerByte time.Duration
-	// RecvOccupancy models the serial per-message processing cost at
-	// each receiving endpoint; hot spots (central managers,
-	// barrier hubs) saturate when it is non-zero.
-	RecvOccupancy time.Duration
 	// Jitter adds deterministic pseudo-random extra delay in
 	// [0, Jitter) per message, for stress-testing interleavings.
 	Jitter time.Duration
@@ -175,17 +170,15 @@ type Config struct {
 
 	// CallTimeout bounds internal RPCs (default 30s).
 	CallTimeout time.Duration
-	// Trace, if set, observes every delivered message.
-	Trace func(*wire.Msg)
 
 	// EventTrace enables the causal event tracer (internal/trace):
 	// each node records protocol events (faults, RPCs, sync, diffs,
 	// chaos injections) into a ring buffer, exported through
-	// Cluster.TraceStreams, and collects the latency histograms
-	// reported by stats.PerNodeReport. Off by default; when off, the
-	// instrumented paths cost one branch, allocate nothing, and every
-	// counter matches a build without tracing. Node-local, so it is
-	// excluded from Digest and usable in distributed mode.
+	// Cluster.TraceStreams. Off by default; when off, the emit sites
+	// cost one branch, allocate nothing, and every counter matches a
+	// build without tracing. The latency histograms (stats.Node.Lat)
+	// are recorded either way. Node-local, so it is excluded from
+	// Digest and usable in distributed mode.
 	EventTrace bool
 	// TraceCapacity is the per-node trace ring size (rounded up to a
 	// power of two; default trace.DefaultCapacity). A full ring
@@ -329,13 +322,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	net, err := simnet.New(simnet.Config{
-		Nodes:         cfg.Nodes,
-		Latency:       simnet.ConstLatency(cfg.Latency, cfg.PerByte),
-		RecvOccupancy: cfg.RecvOccupancy,
-		Jitter:        cfg.Jitter,
-		Seed:          cfg.Seed,
-		Trace:         cfg.Trace,
-		Faults:        cfg.Faults,
+		Nodes:   cfg.Nodes,
+		Latency: simnet.ConstLatency(cfg.Latency, cfg.PerByte),
+		Jitter:  cfg.Jitter,
+		Seed:    cfg.Seed,
+		Faults:  cfg.Faults,
 	})
 	if err != nil {
 		return nil, err
@@ -366,8 +357,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // (typically a tcp.Transport). Every process must be started with an
 // identical Config — compare Config.Digest in the transport
 // handshake to enforce that. Simulator-only options (latency
-// modelling, fault injection, tracing) are rejected: the real
-// network supplies its own latency and faults.
+// modelling, fault injection) are rejected: the real network supplies
+// its own latency and faults.
 //
 // The reliability layer defaults on (cfg.Retry nil gets the default
 // policy): a TCP reconnect can drop frames that were in flight, and
@@ -388,9 +379,7 @@ func NewDistributedNode(cfg Config, tr transport.Transport, self int) (*Cluster,
 	switch {
 	case cfg.Faults != nil:
 		return nil, fmt.Errorf("core: NewDistributedNode: fault injection is simulator-only")
-	case cfg.Trace != nil:
-		return nil, fmt.Errorf("core: NewDistributedNode: message tracing is simulator-only")
-	case cfg.Latency != 0 || cfg.PerByte != 0 || cfg.RecvOccupancy != 0 || cfg.Jitter != 0:
+	case cfg.Latency != 0 || cfg.PerByte != 0 || cfg.Jitter != 0:
 		return nil, fmt.Errorf("core: NewDistributedNode: latency modelling is simulator-only")
 	case cfg.BreakCoherence:
 		return nil, fmt.Errorf("core: NewDistributedNode: BreakCoherence is a test-only simulator knob")
@@ -426,7 +415,6 @@ func (c *Cluster) addNode(i int) error {
 		rt.SetCallTimeout(cfg.CallTimeout)
 	}
 	if cfg.EventTrace {
-		st.Lat = &stats.LatHists{}
 		tr := trace.New(int32(i), cfg.Nodes, cfg.TraceCapacity)
 		rt.SetTracer(tr)
 		if cfg.AccessTrace {

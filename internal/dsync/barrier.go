@@ -37,9 +37,7 @@ func (s *Service) Barrier(id int32) error {
 	st := s.rt.Stats()
 	st.BarrierWaits.Add(1)
 	st.BarrierWaitNs.Add(wait.Nanoseconds())
-	if st.Lat != nil {
-		st.Lat.BarrierWait.Observe(wait.Nanoseconds())
-	}
+	st.Lat.BarrierWait.Observe(wait.Nanoseconds())
 	tr.Emit(trace.EvBarRelease, int32(reply.From), 0, -1, id, 0, wait)
 	s.hooks.OnBarrierRelease(id, reply.Data)
 	return nil

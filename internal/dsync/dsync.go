@@ -245,9 +245,7 @@ func (s *Service) acquire(id int32, mode Mode) error {
 	st.LockAcquires.Add(1)
 	st.LockWaitNs.Add(wait.Nanoseconds())
 	st.GrantPayloadBytes.Add(int64(len(reply.Data)))
-	if st.Lat != nil {
-		st.Lat.LockWait.Observe(wait.Nanoseconds())
-	}
+	st.Lat.LockWait.Observe(wait.Nanoseconds())
 	tr.Emit(trace.EvLockGrant, int32(reply.From), 0, -1, id, uint64(mode), wait)
 	s.hooks.OnGranted(id, mode, reply.Data)
 	return nil

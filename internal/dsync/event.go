@@ -63,9 +63,7 @@ func (s *Service) EventWait(id int32) error {
 	st := s.rt.Stats()
 	st.LockWaitNs.Add(wait.Nanoseconds())
 	st.GrantPayloadBytes.Add(int64(len(reply.Data)))
-	if st.Lat != nil {
-		st.Lat.LockWait.Observe(wait.Nanoseconds())
-	}
+	st.Lat.LockWait.Observe(wait.Nanoseconds())
 	s.hooks.OnGranted(eventHookID(id), Shared, reply.Data)
 	tr.Emit(trace.EvLockGrant, int32(reply.From), 0, -1, eventHookID(id), uint64(Shared), wait)
 	return nil

@@ -29,7 +29,7 @@ func TestZeroAllocSlotEncode(t *testing.T) {
 
 // TestZeroAllocOpRecord exercises the exact shape of the timed loop's
 // per-op record: pacer arrival, the op body's buffer reslice, and the
-// nil-guarded histogram observe.
+// histogram observe.
 func TestZeroAllocOpRecord(t *testing.T) {
 	lat := &stats.LatHists{}
 	p := loadgen.NewPacer(0) // unpaced: no sleeping inside AllocsPerRun
@@ -46,27 +46,9 @@ func TestZeroAllocOpRecord(t *testing.T) {
 		i++
 		w0, w1 := valueWords(uint64(i), uint64(i)*3)
 		encodeSlot(buf[:slotBytes], uint64(i), stateLive, w0, w1)
-		if lat != nil {
-			lat.Op.Observe(time.Since(arrival).Nanoseconds())
-		}
+		lat.Op.Observe(time.Since(arrival).Nanoseconds())
 	}); n != 0 {
 		t.Fatalf("per-op record path allocates %.1f/op, want 0", n)
-	}
-}
-
-// TestZeroAllocDisabledOpRecord gates the EventTrace-off shape: a nil
-// LatHists must skip recording entirely without allocating.
-func TestZeroAllocDisabledOpRecord(t *testing.T) {
-	var lat *stats.LatHists
-	p := loadgen.NewPacer(0)
-	p.Begin()
-	if n := testing.AllocsPerRun(1000, func() {
-		arrival := p.Arrival(0)
-		if lat != nil {
-			lat.Op.Observe(time.Since(arrival).Nanoseconds())
-		}
-	}); n != 0 {
-		t.Fatalf("disabled record guard allocates %.1f/op, want 0", n)
 	}
 }
 

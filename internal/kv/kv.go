@@ -289,7 +289,7 @@ func (s *Store) Run(n *core.Node) error {
 		*bp = append((*bp)[:cap(*bp)], 0)
 	}
 	buf := (*bp)[:slotBytes]
-	lat := n.Runtime().Stats().Lat // nil unless EventTrace
+	lat := &n.Runtime().Stats().Lat
 
 	rep := NodeReport{Node: n.ID(), Ops: len(ops), TargetQPS: s.p.QPS}
 	// Start the schedule together: an open-loop rate is a cluster-wide
@@ -319,9 +319,7 @@ func (s *Store) Run(n *core.Node) error {
 				return fmt.Errorf("op %d del key %d: %w", i, op.Key, err)
 			}
 		}
-		if lat != nil {
-			lat.Op.Observe(time.Since(arrival).Nanoseconds())
-		}
+		lat.Op.Observe(time.Since(arrival).Nanoseconds())
 	}
 	rep.Elapsed = time.Since(start)
 	rep.MaxBacklog = pacer.MaxBacklog()

@@ -27,11 +27,7 @@ func runSim(t *testing.T, cfg core.Config, s *kv.Store) (uint64, int64) {
 	if err != nil {
 		t.Fatalf("checksum: %v", err)
 	}
-	var p99 int64
-	if lat := c.TotalStats().Lat; lat != nil {
-		p99 = lat.Op.Quantile(0.99)
-	}
-	return sum, p99
+	return sum, c.TotalStats().Lat.Op.Quantile(0.99)
 }
 
 // TestKVSmoke is the serving regression gate: the same kvstore
@@ -43,7 +39,6 @@ func TestKVSmoke(t *testing.T) {
 	cfg := core.Config{
 		Nodes:       3,
 		Protocol:    core.LRC,
-		EventTrace:  true,
 		CallTimeout: 30 * time.Second,
 	}
 	simSum, simP99 := runSim(t, cfg, kv.New(p))
@@ -66,9 +61,6 @@ func TestKVSmoke(t *testing.T) {
 	}
 	tcpOps := int64(0)
 	for i, r := range results {
-		if r.Stats.Lat == nil {
-			t.Fatalf("tcp node %d carries no latency histograms", i)
-		}
 		tcpOps += r.Stats.Lat.Op.Count
 		if p99 := r.Stats.Lat.Op.Quantile(0.99); p99 == 0 {
 			t.Fatalf("tcp node %d op p99 is zero over %d ops", i, r.Stats.Lat.Op.Count)

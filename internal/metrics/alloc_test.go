@@ -59,7 +59,6 @@ func TestZeroAllocDisabledGuard(t *testing.T) {
 
 func BenchmarkSampleOnce(b *testing.B) {
 	var node stats.Node
-	node.Lat = &stats.LatHists{}
 	node.Lat.Op.Observe(1000)
 	s := &Sampler{cfg: Config{Window: DefaultWindow, Source: node.Snapshot, TargetOpsPerSec: 1000}, ring: make([]Sample, 0, DefaultWindow)}
 	b.ReportAllocs()
@@ -71,7 +70,6 @@ func BenchmarkSampleOnce(b *testing.B) {
 
 func BenchmarkWindow(b *testing.B) {
 	var node stats.Node
-	node.Lat = &stats.LatHists{}
 	s := &Sampler{cfg: Config{Window: DefaultWindow, Source: node.Snapshot, SLOTarget: DefaultSLOTarget}, ring: make([]Sample, 0, DefaultWindow)}
 	for i := 0; i < DefaultWindow; i++ {
 		node.MsgsSent.Add(3)
@@ -86,7 +84,6 @@ func BenchmarkWindow(b *testing.B) {
 
 func BenchmarkPromWrite(b *testing.B) {
 	var node stats.Node
-	node.Lat = &stats.LatHists{}
 	s := &Sampler{cfg: Config{Window: DefaultWindow, Source: node.Snapshot, SLOTarget: DefaultSLOTarget}, ring: make([]Sample, 0, DefaultWindow)}
 	for i := 0; i < 32; i++ {
 		node.MsgsSent.Add(3)

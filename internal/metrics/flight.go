@@ -205,12 +205,8 @@ func writeSampleSeries(w io.Writer, samples []Sample) {
 			continue
 		}
 		d := cur.Snap.Sub(prev.Snap)
-		ops := int64(0)
-		if d.Lat != nil {
-			ops = d.Lat.Op.Count
-		}
 		t.AddRow(float64(cur.UnixNs-samples[0].UnixNs)/1e6,
-			float64(d.MsgsSent)/dt, float64(d.Faults())/dt, float64(ops)/dt,
+			float64(d.MsgsSent)/dt, float64(d.Faults())/dt, float64(d.Lat.Op.Count)/dt,
 			cur.Backlog, cur.Snap.MsgsSent, cur.Snap.Retries)
 	}
 	fmt.Fprintf(w, "\nsample window (%d samples):\n%s", len(samples), t.String())

@@ -132,12 +132,8 @@ func (s *Sampler) sampleAt(now int64) {
 	defer s.mu.Unlock()
 	sm := Sample{UnixNs: now, Snap: snap}
 	if prev, ok := s.lastLocked(); ok && s.cfg.TargetOpsPerSec > 0 {
-		var dOps int64
-		if snap.Lat != nil && prev.Snap.Lat != nil {
-			dOps = snap.Lat.Op.Count - prev.Snap.Lat.Op.Count
-		}
-		started := prev.Backlog > 0 || (prev.Snap.Lat != nil && prev.Snap.Lat.Op.Count > 0)
-		if started {
+		dOps := snap.Lat.Op.Count - prev.Snap.Lat.Op.Count
+		if prev.Backlog > 0 || prev.Snap.Lat.Op.Count > 0 {
 			dt := float64(now-prev.UnixNs) / 1e9
 			sm.Backlog = prev.Backlog + s.cfg.TargetOpsPerSec*dt - float64(dOps)
 			if sm.Backlog < 0 {
@@ -252,15 +248,12 @@ func (s *Sampler) Window() Window {
 	w.MsgsPerSec = float64(d.MsgsSent) / sec
 	w.BytesPerSec = float64(d.BytesSent) / sec
 	w.FaultsPerSec = float64(d.Faults()) / sec
-	w.SLOAttainment = 1
-	if d.Lat != nil {
-		op := d.Lat.Op
-		w.OpsPerSec = float64(op.Count) / sec
-		w.OpP50Us = float64(op.Quantile(0.5)) / 1e3
-		w.OpP99Us = float64(op.Quantile(0.99)) / 1e3
-		w.OpP999Us = float64(op.Quantile(0.999)) / 1e3
-		w.SLOAttainment = op.FractionBelow(s.cfg.SLOTarget.Nanoseconds())
-	}
+	op := d.Lat.Op
+	w.OpsPerSec = float64(op.Count) / sec
+	w.OpP50Us = float64(op.Quantile(0.5)) / 1e3
+	w.OpP99Us = float64(op.Quantile(0.99)) / 1e3
+	w.OpP999Us = float64(op.Quantile(0.999)) / 1e3
+	w.SLOAttainment = op.FractionBelow(s.cfg.SLOTarget.Nanoseconds())
 	return w
 }
 

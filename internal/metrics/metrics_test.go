@@ -17,21 +17,23 @@ import (
 type fakeSource struct {
 	msgs  atomic.Int64
 	reads atomic.Int64
-	lat   *stats.LatHists
+	lat   stats.LatHists
 }
 
 func (f *fakeSource) snapshot() stats.Snapshot {
 	var n stats.Node
 	n.MsgsSent.Store(f.msgs.Load())
 	n.Reads.Store(f.reads.Load())
-	n.Lat = f.lat
-	return n.Snapshot()
+	s := n.Snapshot()
+	ls := f.lat.Snapshot()
+	s.Lat = &ls
+	return s
 }
 
 // The sampler's windowed view must recover rates and quantiles from
 // the deltas between samples, and Reconcile must telescope exactly.
 func TestSamplerWindowAndReconcile(t *testing.T) {
-	src := &fakeSource{lat: &stats.LatHists{}}
+	src := &fakeSource{}
 	s := Start(Config{
 		Node:     2,
 		Interval: 5 * time.Millisecond,
@@ -105,7 +107,7 @@ func TestSamplerRingOverwrite(t *testing.T) {
 // completed ops drained, clamped at zero, and only accumulating once
 // ops have started.
 func TestSamplerBacklogDerivation(t *testing.T) {
-	src := &fakeSource{lat: &stats.LatHists{}}
+	src := &fakeSource{}
 	s := &Sampler{cfg: Config{Window: 64, Source: src.snapshot, TargetOpsPerSec: 1000}, ring: make([]Sample, 0, 64)}
 	base := time.Now().UnixNano()
 	at := func(i int) int64 { return base + int64(i)*10_000_000 } // 10ms-spaced
@@ -139,7 +141,7 @@ func TestSamplerBacklogDerivation(t *testing.T) {
 // The /metrics exposition must parse under the strict parser, carry
 // every counter family, histogram invariants, and the gauges.
 func TestPromExpositionRoundTrip(t *testing.T) {
-	src := &fakeSource{lat: &stats.LatHists{}}
+	src := &fakeSource{}
 	src.msgs.Store(42)
 	for i := 0; i < 100; i++ {
 		src.lat.Op.Observe(int64(i+1) * 1000)
@@ -216,7 +218,7 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 // stall evidence intact; a second Dump must not overwrite the first.
 func TestFlightBundleRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	src := &fakeSource{lat: &stats.LatHists{}}
+	src := &fakeSource{}
 	s := Start(Config{Node: 0, Interval: time.Millisecond, Source: src.snapshot})
 	for i := 0; i < 5; i++ {
 		src.msgs.Add(3)
@@ -268,7 +270,7 @@ func TestFlightBundleRoundTrip(t *testing.T) {
 // the aggregate; a dead endpoint degrades to an error row without
 // hiding the others.
 func TestWatchRendersRows(t *testing.T) {
-	src := &fakeSource{lat: &stats.LatHists{}}
+	src := &fakeSource{}
 	src.msgs.Store(9)
 	s := Start(Config{Node: 3, Interval: time.Hour, Source: src.snapshot})
 	defer s.Stop()

@@ -39,10 +39,8 @@ func writeProm(w io.Writer, node int32, snap stats.Snapshot, win Window) error {
 		fmt.Fprintf(bw, "# HELP %s DSM %s counter.\n# TYPE %s counter\n%s%s %d\n",
 			name, f.Name, name, name, lbl, f.Value)
 	}
-	if snap.Lat != nil {
-		for _, c := range snap.Lat.Classes() {
-			writePromHist(bw, "dsm_"+c.Name+"_latency_seconds", lbl, c.HistSnapshot)
-		}
+	for _, c := range snap.Lat.Classes() {
+		writePromHist(bw, "dsm_"+c.Name+"_latency_seconds", lbl, c.HistSnapshot)
 	}
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s gauge\n%s%s %s\n",

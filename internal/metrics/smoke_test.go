@@ -60,7 +60,7 @@ func TestMetricsSmoke(t *testing.T) {
 	release := make(chan struct{})
 	var mu sync.Mutex
 	addrs := make(map[int]string)
-	cfg := core.Config{Nodes: nodes, PageSize: 256, EventTrace: true}
+	cfg := core.Config{Nodes: nodes, PageSize: 256}
 	done := make(chan struct{})
 	var results []*cluster.Result
 	var runErr error

@@ -138,16 +138,8 @@ func (r *Runtime) chunk(c mem.Chunk, buf []byte, write bool) error {
 }
 
 // servedFault runs the engine's fault handler for page, timing it into
-// the fault-service histogram and the trace ring when observability is
-// on. With both off (the default) it is a single branch around the
-// engine call.
+// the fault-service histogram and, when tracing is on, the trace ring.
 func (r *Runtime) servedFault(page mem.PageID, write bool) error {
-	if r.st.Lat == nil && r.tracer == nil {
-		if write {
-			return r.engine.WriteFault(page)
-		}
-		return r.engine.ReadFault(page)
-	}
 	var rw uint64
 	if write {
 		rw = 1
@@ -161,9 +153,7 @@ func (r *Runtime) servedFault(page mem.PageID, write bool) error {
 		err = r.engine.ReadFault(page)
 	}
 	d := time.Since(start)
-	if r.st.Lat != nil {
-		r.st.Lat.Fault.Observe(d.Nanoseconds())
-	}
+	r.st.Lat.Fault.Observe(d.Nanoseconds())
 	r.tracer.Emit(trace.EvFaultEnd, -1, 0, page, -1, rw, d)
 	return err
 }

@@ -565,12 +565,9 @@ func (r *Runtime) Call(m *wire.Msg) (*wire.Msg, error) {
 // (capped exponential backoff, deterministic jitter, bounded
 // attempts); the receive-side dedup table makes retransmission safe.
 func (r *Runtime) CallT(m *wire.Msg, timeout time.Duration) (*wire.Msg, error) {
-	var start time.Time
-	if r.st.Lat != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	reply, err := r.callT(m, timeout)
-	if err == nil && !start.IsZero() {
+	if err == nil {
 		r.st.Lat.RPC.Observe(time.Since(start).Nanoseconds())
 	}
 	return reply, err
@@ -665,10 +662,7 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 	}
 	replies := make([]*wire.Msg, len(msgs))
 	errs := make([]error, len(msgs))
-	var start time.Time
-	if r.st.Lat != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	var wg sync.WaitGroup
 	for i, m := range msgs {
 		wg.Add(1)
@@ -686,7 +680,7 @@ func (r *Runtime) CallBatched(msgs []*wire.Msg) ([]*wire.Msg, error) {
 				}
 				replies[i], errs[i] = r.awaitReply(m, chs[i], r.callTimeout)
 			}
-			if errs[i] == nil && !start.IsZero() {
+			if errs[i] == nil {
 				r.st.Lat.RPC.Observe(time.Since(start).Nanoseconds())
 			}
 		}(i, m)

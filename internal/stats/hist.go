@@ -200,11 +200,9 @@ func bucketBounds(i int) (lo, hi int64) {
 	return 1 << (i - 1), 1 << i
 }
 
-// LatHists groups the per-node latency histograms recorded when event
-// tracing is enabled (core.Config.EventTrace): where a node's time
-// went, by protocol phase. A nil *LatHists (the default) disables
-// recording; call sites guard with a nil check so the disabled path
-// costs one predictable branch and zero allocations.
+// LatHists groups the per-node latency histograms: where a node's
+// time went, by protocol phase. Always recorded; the zero value is
+// ready to use.
 type LatHists struct {
 	Fault       Hist // page-fault service time (engine ReadFault/WriteFault)
 	RPC         Hist // request round-trip time (Call/CallT/CallBatched)
@@ -272,36 +270,88 @@ func (s LatSnapshot) Classes() []NamedHist {
 	}
 }
 
-// latReport renders the latency histogram table appended to
-// PerNodeReport when any node carries latency data.
-func latReport(snaps []Snapshot) string {
-	any := false
-	for _, s := range snaps {
-		if s.Lat != nil {
-			any = true
-			break
+// Resolves reports whether the histogram holds enough observations
+// to report its q-quantile: at least 10/(1-q), so that ten or more lie
+// beyond it. p50 needs 20, p99 1,000 and p999 10,000; with fewer, a
+// tail quantile is only the maximum under another name.
+func (s HistSnapshot) Resolves(q float64) bool {
+	return q < 1 && float64(s.Count)*(1-q) >= 10-1e-9
+}
+
+// QuantileUs is the q-quantile in microseconds for a report, or nil
+// when the histogram cannot resolve it.
+func (s HistSnapshot) QuantileUs(q float64) *float64 {
+	if !s.Resolves(q) {
+		return nil
+	}
+	v := float64(s.Quantile(q)) / 1e3
+	return &v
+}
+
+// QuantileCell is a table cell for the q-quantile in microseconds:
+// the value, or "-" when the histogram cannot resolve it.
+func (s HistSnapshot) QuantileCell(q float64) any {
+	if v := s.QuantileUs(q); v != nil {
+		return *v
+	}
+	return "-"
+}
+
+// HistogramSummary is the JSON shape of one latency class, shared by
+// the debug endpoint and dsmrun -stats json. A quantile the class
+// cannot resolve (see Resolves) is omitted.
+type HistogramSummary struct {
+	Class  string   `json:"class"`
+	Count  int64    `json:"count"`
+	MeanUs float64  `json:"mean_us"`
+	P50Us  *float64 `json:"p50_us,omitempty"`
+	P90Us  *float64 `json:"p90_us,omitempty"`
+	P99Us  *float64 `json:"p99_us,omitempty"`
+	P999Us *float64 `json:"p999_us,omitempty"`
+	MaxUs  float64  `json:"max_us"`
+}
+
+// HistogramSummaries summarizes all latency classes with entries
+// (empty classes are skipped).
+func HistogramSummaries(ls LatSnapshot) []HistogramSummary {
+	var out []HistogramSummary
+	for _, c := range ls.Classes() {
+		if c.Count == 0 {
+			continue
 		}
+		out = append(out, HistogramSummary{
+			Class:  c.Name,
+			Count:  c.Count,
+			MeanUs: float64(c.MeanNs()) / 1e3,
+			P50Us:  c.QuantileUs(0.5),
+			P90Us:  c.QuantileUs(0.9),
+			P99Us:  c.QuantileUs(0.99),
+			P999Us: c.QuantileUs(0.999),
+			MaxUs:  float64(c.MaxNs) / 1e3,
+		})
 	}
-	if !any {
-		return ""
-	}
+	return out
+}
+
+// latReport renders the latency histogram table appended to
+// PerNodeReport, or "" when no node observed a latency.
+func latReport(snaps []Snapshot) string {
 	t := NewTable("node", "class", "count", "p50_us", "p90_us", "p99_us", "p999_us", "max_us", "mean_us")
 	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	row := func(label string, ls LatSnapshot) {
-		for _, c := range ls.Classes() {
+	row := func(label string, s Snapshot) {
+		for _, c := range s.lat().Classes() {
 			if c.Count == 0 {
 				continue
 			}
-			t.AddRow(label, c.Name, c.Count, us(c.Quantile(0.5)), us(c.Quantile(0.9)), us(c.Quantile(0.99)), us(c.Quantile(0.999)), us(c.MaxNs), us(c.MeanNs()))
+			t.AddRow(label, c.Name, c.Count, c.QuantileCell(0.5), c.QuantileCell(0.9), c.QuantileCell(0.99), c.QuantileCell(0.999), us(c.MaxNs), us(c.MeanNs()))
 		}
 	}
 	for i, s := range snaps {
-		if s.Lat != nil {
-			row(fmt.Sprint(i), *s.Lat)
-		}
+		row(fmt.Sprint(i), s)
 	}
-	if total := Sum(snaps); total.Lat != nil {
-		row("total", *total.Lat)
+	if len(t.rows) == 0 {
+		return ""
 	}
+	row("total", Sum(snaps))
 	return "latency histograms:\n" + t.String()
 }

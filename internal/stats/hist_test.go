@@ -102,3 +102,61 @@ func TestQuantileConsistentSnapshot(t *testing.T) {
 		t.Fatalf("p100 = %d, want the outlier bucket (or MaxNs clamp)", p100)
 	}
 }
+
+// A q-quantile resolves only with at least 10/(1-q) observations: an
+// E15-sized cell of 1,200 ops reports p99 but not p999.
+func TestQuantileResolution(t *testing.T) {
+	var h Hist
+	for i := 0; i < 1200; i++ {
+		h.Observe(int64(1000 + i))
+	}
+	s := h.Snapshot()
+	for q, want := range map[float64]bool{0.5: true, 0.9: true, 0.99: true, 0.999: false} {
+		if got := s.Resolves(q); got != want {
+			t.Errorf("1200 samples: Resolves(%v) = %v, want %v", q, got, want)
+		}
+	}
+	if s.QuantileCell(0.999) != "-" || s.QuantileUs(0.999) != nil {
+		t.Fatalf("unresolved p999 rendered as %v", s.QuantileCell(0.999))
+	}
+	if v := s.QuantileUs(0.99); v == nil || *v <= 0 {
+		t.Fatalf("resolved p99 = %v", v)
+	}
+	// The thresholds themselves: 20 for p50, 100 for p90, 1,000 for
+	// p99, 10,000 for p999.
+	for q, n := range map[float64]int64{0.5: 20, 0.9: 100, 0.99: 1000, 0.999: 10000} {
+		if !(HistSnapshot{Count: n}).Resolves(q) || (HistSnapshot{Count: n - 1}).Resolves(q) {
+			t.Errorf("Resolves(%v) threshold is not %d", q, n)
+		}
+	}
+}
+
+// HistogramSummaries must skip classes with no observations, keep the
+// populated ones in report order, and omit the quantiles a class
+// cannot resolve.
+func TestHistogramSummariesSkipsEmpty(t *testing.T) {
+	var lat LatHists
+	if got := HistogramSummaries(lat.Snapshot()); len(got) != 0 {
+		t.Fatalf("all-empty snapshot produced %d summaries", len(got))
+	}
+	lat.Fault.Observe(1000)
+	for i := 0; i < 20; i++ {
+		lat.Op.Observe(2000 + int64(i)*100)
+	}
+	got := HistogramSummaries(lat.Snapshot())
+	if len(got) != 2 {
+		t.Fatalf("got %d summaries, want 2 (empty classes skipped): %+v", len(got), got)
+	}
+	if got[0].Class != "fault" || got[0].Count != 1 || got[0].P50Us != nil {
+		t.Fatalf("first summary %+v, want fault count 1 with no resolved quantile", got[0])
+	}
+	if got[1].Class != "op" || got[1].Count != 20 {
+		t.Fatalf("second summary %+v, want op count 20", got[1])
+	}
+	if got[1].P50Us == nil || *got[1].P50Us <= 0 || got[1].MaxUs < *got[1].P50Us {
+		t.Fatalf("op summary p50 inconsistent: %+v", got[1])
+	}
+	if got[1].P90Us != nil || got[1].P99Us != nil || got[1].P999Us != nil {
+		t.Fatalf("op summary reports tail quantiles from 20 samples: %+v", got[1])
+	}
+}

@@ -70,11 +70,10 @@ type Node struct {
 	BarrierWaits  atomic.Int64
 	BarrierWaitNs atomic.Int64
 
-	// Lat holds the latency histograms, non-nil only when event
-	// tracing is enabled (core.Config.EventTrace). It is not a
+	// Lat holds the latency histograms, always recorded. It is not a
 	// counter: snapshots carry it as Snapshot.Lat, outside the field
 	// plan.
-	Lat *LatHists
+	Lat LatHists
 }
 
 // Snapshot is a plain-value copy of a Node's counters, safe to
@@ -116,8 +115,8 @@ type Snapshot struct {
 	BarrierWaits      int64 `stats:"barrier_waits"`
 	BarrierWaitNs     int64 `stats:"barrier_wait_ns"`
 
-	// Lat carries the latency histograms when tracing was enabled on
-	// the source node; nil otherwise.
+	// Lat carries the latency histograms. Snapshot, Add and Sub always
+	// set it; a nil Lat (a Snapshot built by hand) reads as empty.
 	Lat *LatSnapshot
 }
 
@@ -184,15 +183,22 @@ func (n *Node) Snapshot() Snapshot {
 		v := nv.Field(f.nodeIdx).Addr().Interface().(*atomic.Int64).Load()
 		sv.Field(f.snapIdx).SetInt(v)
 	}
-	if n.Lat != nil {
-		ls := n.Lat.Snapshot()
-		s.Lat = &ls
-	}
+	ls := n.Lat.Snapshot()
+	s.Lat = &ls
 	return s
 }
 
+// lat returns the snapshot's latency histograms, reading a nil Lat as
+// empty.
+func (s Snapshot) lat() LatSnapshot {
+	if s.Lat == nil {
+		return LatSnapshot{}
+	}
+	return *s.Lat
+}
+
 // Add returns the field-wise sum of two snapshots. Latency histograms
-// aggregate bucket-wise when either side carries them.
+// aggregate bucket-wise.
 func (s Snapshot) Add(o Snapshot) Snapshot {
 	out := s
 	ov := reflect.ValueOf(&o).Elem()
@@ -201,27 +207,14 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		fv := outv.Field(f.snapIdx)
 		fv.SetInt(fv.Int() + ov.Field(f.snapIdx).Int())
 	}
-	switch {
-	case s.Lat == nil && o.Lat == nil:
-		out.Lat = nil
-	default:
-		var m LatSnapshot
-		if s.Lat != nil {
-			m = *s.Lat
-		}
-		if o.Lat != nil {
-			m = m.Add(*o.Lat)
-		}
-		out.Lat = &m
-	}
+	m := s.lat().Add(o.lat())
+	out.Lat = &m
 	return out
 }
 
 // Sub returns the field-wise difference s - o: the counter activity
 // between two snapshots of the same node (or aggregate). Latency
-// histograms subtract bucket-wise when both sides carry them; a
-// one-sided histogram passes through unchanged (the window opened or
-// closed across a tracing toggle, which never happens mid-run).
+// histograms subtract bucket-wise.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	out := s
 	ov := reflect.ValueOf(&o).Elem()
@@ -230,10 +223,8 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		fv := outv.Field(f.snapIdx)
 		fv.SetInt(fv.Int() - ov.Field(f.snapIdx).Int())
 	}
-	if s.Lat != nil && o.Lat != nil {
-		d := s.Lat.Sub(*o.Lat)
-		out.Lat = &d
-	}
+	d := s.lat().Sub(o.lat())
+	out.Lat = &d
 	return out
 }
 

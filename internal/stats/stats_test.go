@@ -25,9 +25,8 @@ func TestSnapshotAndAdd(t *testing.T) {
 	}
 }
 
-// Sub must invert Add over every counter in the field plan, and
-// produce the bucket-wise latency window when both sides carry
-// histograms.
+// Sub must invert Add over every counter in the field plan and
+// produce the bucket-wise latency window.
 func TestSnapshotSub(t *testing.T) {
 	var n Node
 	n.MsgsSent.Store(10)
@@ -45,7 +44,6 @@ func TestSnapshotSub(t *testing.T) {
 		t.Fatalf("Add(Sub) round trip: got %s, want %s", got, after)
 	}
 	// Histogram windows subtract bucket-wise.
-	n.Lat = &LatHists{}
 	n.Lat.Op.Observe(1000)
 	mid := n.Snapshot()
 	n.Lat.Op.Observe(5000)
@@ -54,10 +52,16 @@ func TestSnapshotSub(t *testing.T) {
 	if win.Lat == nil || win.Lat.Op.Count != 1 {
 		t.Fatalf("latency window not carried: %+v", win.Lat)
 	}
-	// One-sided histograms pass through rather than inventing a delta.
-	onesided := end.Sub(before)
-	if onesided.Lat == nil || onesided.Lat.Op.Count != 2 {
-		t.Fatalf("one-sided Sub dropped the histogram: %+v", onesided.Lat)
+	// A hand-built snapshot's nil histograms read as empty on either
+	// side of Sub and Add.
+	if d := end.Sub(Snapshot{}); d.Lat == nil || d.Lat.Op.Count != 2 {
+		t.Fatalf("Sub of a nil-Lat snapshot: %+v", d.Lat)
+	}
+	if d := (Snapshot{}).Sub(Snapshot{}); d.Lat == nil || d.Lat.Op.Count != 0 {
+		t.Fatalf("Sub of two nil-Lat snapshots: %+v", d.Lat)
+	}
+	if sum := (Snapshot{}).Add(end); sum.Lat == nil || sum.Lat.Op.Count != 2 {
+		t.Fatalf("Add onto a nil-Lat snapshot: %+v", sum.Lat)
 	}
 }
 

@@ -79,12 +79,7 @@ func ServeDebug(addr string, cfg DebugConfig) (*DebugServer, error) {
 		writeJSON(w, out)
 	})
 	mux.HandleFunc("/histograms", func(w http.ResponseWriter, r *http.Request) {
-		s := cfg.Stats()
-		if s.Lat == nil {
-			writeJSON(w, map[string]any{"node": cfg.Node, "enabled": false})
-			return
-		}
-		writeJSON(w, map[string]any{"node": cfg.Node, "enabled": true, "classes": HistogramSummaries(*s.Lat)})
+		writeJSON(w, map[string]any{"node": cfg.Node, "classes": stats.HistogramSummaries(*cfg.Stats().Lat)})
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		if cfg.Tracer == nil {
@@ -135,42 +130,6 @@ func fieldMap(s stats.Snapshot) map[string]int64 {
 	out := make(map[string]int64)
 	for _, f := range s.Fields() {
 		out[f.Name] = f.Value
-	}
-	return out
-}
-
-// HistogramSummary is the JSON shape of one latency class, shared by
-// the debug endpoint and dsmrun -stats json.
-type HistogramSummary struct {
-	Class  string  `json:"class"`
-	Count  int64   `json:"count"`
-	MeanUs float64 `json:"mean_us"`
-	P50Us  float64 `json:"p50_us"`
-	P90Us  float64 `json:"p90_us"`
-	P99Us  float64 `json:"p99_us"`
-	P999Us float64 `json:"p999_us"`
-	MaxUs  float64 `json:"max_us"`
-}
-
-// HistogramSummaries summarizes all latency classes with entries
-// (empty classes are skipped).
-func HistogramSummaries(ls stats.LatSnapshot) []HistogramSummary {
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-	var out []HistogramSummary
-	for _, c := range ls.Classes() {
-		if c.Count == 0 {
-			continue
-		}
-		out = append(out, HistogramSummary{
-			Class:  c.Name,
-			Count:  c.Count,
-			MeanUs: us(c.MeanNs()),
-			P50Us:  us(c.Quantile(0.5)),
-			P90Us:  us(c.Quantile(0.9)),
-			P99Us:  us(c.Quantile(0.99)),
-			P999Us: us(c.Quantile(0.999)),
-			MaxUs:  us(c.MaxNs),
-		})
 	}
 	return out
 }

@@ -25,8 +25,8 @@ func debugGet(t *testing.T, addr, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// A tracer-less node's /trace must say so in the same JSON shape
-// /histograms uses, not serve an empty stream or panic.
+// A tracer-less node's /trace must say so in JSON, not serve an empty
+// stream or panic.
 func TestDebugTraceDisabled(t *testing.T) {
 	var node stats.Node
 	srv, err := ServeDebug("127.0.0.1:0", DebugConfig{Node: 3, Stats: node.Snapshot})
@@ -117,29 +117,4 @@ func TestDebugCloseGraceful(t *testing.T) {
 		t.Fatal("in-flight scrape never completed")
 	}
 	<-slowDone
-}
-
-// HistogramSummaries must skip classes with no observations and keep
-// the populated ones in report order.
-func TestHistogramSummariesSkipsEmpty(t *testing.T) {
-	var lat stats.LatHists
-	if got := HistogramSummaries(lat.Snapshot()); len(got) != 0 {
-		t.Fatalf("all-empty snapshot produced %d summaries", len(got))
-	}
-	lat.Fault.Observe(1000)
-	lat.Op.Observe(2000)
-	lat.Op.Observe(4000)
-	got := HistogramSummaries(lat.Snapshot())
-	if len(got) != 2 {
-		t.Fatalf("got %d summaries, want 2 (empty classes skipped): %+v", len(got), got)
-	}
-	if got[0].Class != "fault" || got[0].Count != 1 {
-		t.Fatalf("first summary %+v, want fault count 1", got[0])
-	}
-	if got[1].Class != "op" || got[1].Count != 2 {
-		t.Fatalf("second summary %+v, want op count 2", got[1])
-	}
-	if got[1].P50Us <= 0 || got[1].MaxUs < got[1].P50Us {
-		t.Fatalf("op summary quantiles inconsistent: %+v", got[1])
-	}
 }

@@ -87,11 +87,8 @@ func TestTraceSmoke(t *testing.T) {
 				t.Fatalf("Chrome export has tracks for %d nodes, want 4", len(tids))
 			}
 
-			// Latency histograms came along for the ride.
+			// Latency histograms are recorded too.
 			total := c.TotalStats()
-			if total.Lat == nil {
-				t.Fatal("traced run carries no latency snapshot")
-			}
 			if total.Lat.Fault.Count == 0 || total.Lat.RPC.Count == 0 || total.Lat.BarrierWait.Count == 0 {
 				t.Fatalf("latency classes empty: fault=%d rpc=%d barrier=%d",
 					total.Lat.Fault.Count, total.Lat.RPC.Count, total.Lat.BarrierWait.Count)
